@@ -1437,6 +1437,14 @@ let cfs_ns_ceiling = 250.
 
 let cfs_bytes_ceiling = 64.
 
+(* Absolute allocation ceiling for the WFQ machine row, the Enoki path's
+   ratchet: typed hook calls that build the Message pair only under the
+   record tap took it from ~1170 to ~310 B/event (what is left is the
+   policy's own: [Lock.with_lock] closures and the persistent rbtree), so
+   a per-crossing allocation creeping back in trips this well before the
+   relative bytes tolerance would. *)
+let wfq_bytes_ceiling = 400.
+
 let speedgate () =
   Report.section (Printf.sprintf "Speed gate (%s suite)" (speed_suite ()));
   let path =
@@ -1547,11 +1555,24 @@ let speedgate () =
       else
         Printf.printf "cfs hot path: %.1f B/event (ceiling %.0f) ok\n" r.sm_bytes_per_event
           cfs_bytes_ceiling);
+    (match List.find_opt (fun r -> r.sm_name = "wfq") machine with
+    | None ->
+      regress_failed := true;
+      print_endline "wfq machine row missing: cannot check its allocation ceiling REGRESSED"
+    | Some r ->
+      if r.sm_bytes_per_event > wfq_bytes_ceiling then begin
+        regress_failed := true;
+        Printf.printf "wfq enoki path: %.1f B/event > ceiling %.0f REGRESSED\n"
+          r.sm_bytes_per_event wfq_bytes_ceiling
+      end
+      else
+        Printf.printf "wfq enoki path: %.1f B/event (ceiling %.0f) ok\n" r.sm_bytes_per_event
+          wfq_bytes_ceiling);
     Report.note
       (Printf.sprintf
          "baseline %s; bytes tolerance %.0f%%; cfs row gated at %.0f ns/event and %.0f B/event; \
-          other wall columns never gated"
-         path tol_bytes cfs_ns_ceiling cfs_bytes_ceiling);
+          wfq row at %.0f B/event; other wall columns never gated"
+         path tol_bytes cfs_ns_ceiling cfs_bytes_ceiling wfq_bytes_ceiling);
     if !regress_failed then print_endline "speedgate: FAIL (see verdicts above)"
     else print_endline "speedgate: ok"
 

@@ -19,6 +19,7 @@ type t = {
   policy : int;
   mutable packed : Sched_trait.packed option;
   mutable ops : Ops.kernel_ops option;
+  mutable all_cpus : int list; (* [select_task_rq]'s mask for unpinned tasks *)
   (* pid -> latest Schedulable generation, dense (pids are small and
      contiguous).  0 means "no outstanding capability"; minted generations
      start at 1.  [ngens] counts live (non-zero) entries. *)
@@ -45,6 +46,7 @@ type t = {
   mutable overruns : int;
   mutable blackout : Kernsim.Time.ns option; (* quarantine -> first fallback pick *)
   mutable charged_in_call : Kernsim.Time.ns;
+  mutable wall_starts : float array; (* profile: host clock at each open call's start *)
   mutable history : (module Sched_trait.S) list; (* superseded versions, newest first *)
 }
 
@@ -77,6 +79,7 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 10
     policy;
     packed = None;
     ops = None;
+    all_cpus = [];
     gens = Array.make 64 0;
     ngens = 0;
     hint_ring = Ds.Ring_buffer.create ~capacity:hint_capacity;
@@ -99,6 +102,7 @@ let create ?(policy = 0) ?record ?tracer ?registry ?profile ?(hint_capacity = 10
     overruns = 0;
     blackout = None;
     charged_in_call = 0;
+    wall_starts = Array.make 4 0.0;
     history = [];
   }
 
@@ -198,205 +202,324 @@ let token_valid t token ~cpu =
   pid < Array.length t.gens
   && Array.unsafe_get t.gens pid = Schedulable.generation token
 
-(* ---------- dispatch ---------- *)
+(* ---------- the crossing ---------- *)
 
-(* The synchronous call path: read-lock, translate, invoke the processing
-   function, record.  Overheads are charged to the calling cpu's context,
-   modelling the 100-150 ns per invocation the paper measures. *)
-let dispatch t ~cpu call =
+(* Every hook calls the module's trait function directly, between
+   [call_begin] and [call_end]: read-lock, charge, call, unlock, record.
+   Overheads are charged to the calling cpu's context, modelling the
+   100-150 ns per invocation the paper measures.  Neither half allocates:
+   the caller keeps the saved charge as an int, and profile start times
+   sit in a flat float array indexed by call depth.  [name] is the
+   callback's wire name, always a string constant. *)
+let call_begin t ~cpu name =
   let ops = ops_exn t in
   ops.charge ~cpu ops.costs.enoki_call;
-  emit t ~cpu (Trace.Event.Msg_call { name = Message.call_name call });
+  (match t.tracer with Some _ -> emit t ~cpu (Trace.Event.Msg_call { name }) | None -> ());
   t.calls <- t.calls + 1;
   (match t.obs with
   | Some o ->
     Metrics.Registry.incr o.o_calls ~cpu ();
-    Metrics.Registry.incr (per_call_counter o (Message.call_name call)) ~cpu ()
+    Metrics.Registry.incr (per_call_counter o name) ~cpu ()
   | None -> ());
   t.current_tid <- cpu;
-  t.readers <- t.readers + 1;
-  let saved_charge = t.charged_in_call in
+  let depth = t.readers in
+  t.readers <- depth + 1;
+  let saved = t.charged_in_call in
   t.charged_in_call <- 0;
-  let wall0 =
-    match t.profile with Some _ -> Profile.now_wall () | None -> 0.0
-  in
-  let reply =
-    Fun.protect
-      (fun () -> Lib_enoki.process (packed_exn t) call)
-      ~finally:(fun () ->
-        t.readers <- t.readers - 1;
-        (* the wedged-module detector: compare what the module charged via
-           [Ctx.charge] during this call against the per-call budget.  The
-           check runs in [finally] so a call that both overruns and raises
-           is still surfaced. *)
-        let charged = t.charged_in_call in
-        t.charged_in_call <- saved_charge;
-        (* per-call latency: the fixed crossing cost plus whatever the
-           module charged; profile rows add the host wall clock.  Both
-           record into plain OCaml state — no simulated time moves. *)
-        (match t.obs with
-        | Some o -> Metrics.Registry.observe o.o_call_lat ~cpu (ops.costs.enoki_call + charged)
-        | None -> ());
-        (match t.profile with
-        | Some p ->
-          Profile.record p ~sched:(scheduler_name t) ~call:(Message.call_name call)
-            ~sim_ns:(ops.costs.enoki_call + charged)
-            ~wall_ns:(Profile.now_wall () -. wall0)
-        | None -> ());
-        match t.call_budget with
-        | Some budget when charged > budget ->
-          t.overruns <- t.overruns + 1;
-          (match t.obs with
-          | Some o -> Metrics.Registry.incr o.o_overruns ~cpu ()
-          | None -> ());
-          count_violation t "call_budget";
-          emit t ~cpu (Trace.Event.Overrun { call = Message.call_name call; charged; budget })
-        | Some _ | None -> ())
-  in
-  (match t.record with
-  | Some r ->
-    ops.charge ~cpu ops.costs.record_msg;
-    Record.tap_call r ~tid:cpu call reply
+  (match t.profile with
+  | Some _ ->
+    if depth >= Array.length t.wall_starts then
+      t.wall_starts <- Array.append t.wall_starts (Array.make (depth + 1) 0.0);
+    t.wall_starts.(depth) <- Profile.now_wall ()
   | None -> ());
-  reply
+  saved
 
-let dispatch_raw t ~tid call = dispatch t ~cpu:tid call
+(* Runs on the exception path too, so a call that both overruns and
+   raises is still surfaced. *)
+let call_end t ~cpu name saved =
+  let ops = ops_exn t in
+  t.readers <- t.readers - 1;
+  (* the wedged-module detector: compare what the module charged via
+     [Ctx.charge] during this call against the per-call budget *)
+  let charged = t.charged_in_call in
+  t.charged_in_call <- saved;
+  (* per-call latency: the fixed crossing cost plus whatever the module
+     charged; profile rows add the host wall clock.  Both record into
+     plain OCaml state — no simulated time moves. *)
+  (match t.obs with
+  | Some o -> Metrics.Registry.observe o.o_call_lat ~cpu (ops.costs.enoki_call + charged)
+  | None -> ());
+  (match t.profile with
+  | Some p ->
+    Profile.record p ~sched:(scheduler_name t) ~call:name
+      ~sim_ns:(ops.costs.enoki_call + charged)
+      ~wall_ns:(Profile.now_wall () -. t.wall_starts.(t.readers))
+  | None -> ());
+  match t.call_budget with
+  | Some budget when charged > budget ->
+    t.overruns <- t.overruns + 1;
+    (match t.obs with Some o -> Metrics.Registry.incr o.o_overruns ~cpu () | None -> ());
+    count_violation t "call_budget";
+    emit t ~cpu (Trace.Event.Overrun { call = name; charged; budget })
+  | Some _ | None -> ()
 
-let unit_reply = function
-  | Message.R_unit -> ()
-  | r -> invalid_arg ("Enoki_c: expected unit reply, got " ^ Message.encode_reply r)
+(* The module raised: close the crossing and re-raise for the isolation
+   boundary in [factory] to handle. *)
+let call_failed t ~cpu name saved exn =
+  let bt = Printexc.get_raw_backtrace () in
+  call_end t ~cpu name saved;
+  Printexc.raise_with_backtrace exn bt
+
+(* The record tap.  Callers build the {!Message} pair only under
+   [Some r], after the call returned, so an unrecorded crossing builds
+   neither. *)
+let tap t r ~cpu call reply =
+  let ops = ops_exn t in
+  ops.charge ~cpu ops.costs.record_msg;
+  Record.tap_call r ~tid:cpu call reply
 
 (* ---------- scheduler-class hooks ---------- *)
 
+let allowed_of t (task : Kernsim.Task.t) =
+  match task.affinity with Some cpus -> cpus | None -> t.all_cpus
+
 let select_task_rq t (task : Kernsim.Task.t) ~waker_cpu =
-  let allowed =
-    match task.affinity with
-    | Some cpus -> cpus
-    | None -> List.init (ops_exn t).nr_cpus Fun.id
+  let ops = ops_exn t in
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and allowed = allowed_of t task in
+  let name = "select_task_rq" in
+  let saved = call_begin t ~cpu:waker_cpu name in
+  let cpu =
+    try S.select_task_rq st ~pid ~waker_cpu ~allowed
+    with exn -> call_failed t ~cpu:waker_cpu name saved exn
   in
-  match dispatch t ~cpu:waker_cpu (Select_task_rq { pid = task.pid; waker_cpu; allowed }) with
-  | R_int cpu when cpu >= 0 && cpu < (ops_exn t).nr_cpus && Kernsim.Task.allowed_cpu task cpu
-    -> cpu
-  | R_int _ ->
+  call_end t ~cpu:waker_cpu name saved;
+  (match t.record with
+  | Some r -> tap t r ~cpu:waker_cpu (Select_task_rq { pid; waker_cpu; allowed }) (R_int cpu)
+  | None -> ());
+  if cpu >= 0 && cpu < ops.nr_cpus && Kernsim.Task.allowed_cpu task cpu then cpu
+  else begin
     (* scheduler chose a cpu the task may not use; fall back *)
     count_violation t "bad_select_cpu";
-    emit t ~cpu:waker_cpu (Trace.Event.Pnt_err { pid = task.pid; err = "bad_select_cpu" });
-    (match task.affinity with Some (c :: _) -> c | Some [] | None -> waker_cpu)
-  | r -> invalid_arg ("Enoki_c: bad select_task_rq reply " ^ Message.encode_reply r)
+    emit t ~cpu:waker_cpu (Trace.Event.Pnt_err { pid; err = "bad_select_cpu" });
+    match task.affinity with Some (c :: _) -> c | Some [] | None -> waker_cpu
+  end
 
 let task_new t (task : Kernsim.Task.t) ~cpu =
-  let sched = mint t ~pid:task.pid ~cpu in
-  unit_reply
-    (dispatch t ~cpu
-       (Task_new { pid = task.pid; runtime = task.sum_exec; prio = task.nice; sched }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and runtime = task.sum_exec and prio = task.nice in
+  let sched = mint t ~pid ~cpu and name = "task_new" in
+  let saved = call_begin t ~cpu name in
+  (try S.task_new st ~pid ~runtime ~prio ~sched
+   with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_new { pid; runtime; prio; sched }) R_unit
+  | None -> ()
 
 let task_wakeup t (task : Kernsim.Task.t) ~cpu ~waker_cpu =
-  let sched = mint t ~pid:task.pid ~cpu in
-  unit_reply
-    (dispatch t ~cpu:waker_cpu
-       (Task_wakeup { pid = task.pid; runtime = task.sum_exec; waker_cpu; sched }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and runtime = task.sum_exec in
+  let sched = mint t ~pid ~cpu and name = "task_wakeup" in
+  let saved = call_begin t ~cpu:waker_cpu name in
+  (try S.task_wakeup st ~pid ~runtime ~waker_cpu ~sched
+   with exn -> call_failed t ~cpu:waker_cpu name saved exn);
+  call_end t ~cpu:waker_cpu name saved;
+  match t.record with
+  | Some r -> tap t r ~cpu:waker_cpu (Task_wakeup { pid; runtime; waker_cpu; sched }) R_unit
+  | None -> ()
 
 let task_blocked t (task : Kernsim.Task.t) ~cpu =
-  invalidate t ~pid:task.pid;
-  unit_reply
-    (dispatch t ~cpu (Task_blocked { pid = task.pid; runtime = task.sum_exec; cpu }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and runtime = task.sum_exec and name = "task_blocked" in
+  invalidate t ~pid;
+  let saved = call_begin t ~cpu name in
+  (try S.task_blocked st ~pid ~runtime ~cpu with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_blocked { pid; runtime; cpu }) R_unit
+  | None -> ()
 
 let task_yield t (task : Kernsim.Task.t) ~cpu =
-  let sched = mint t ~pid:task.pid ~cpu in
-  unit_reply
-    (dispatch t ~cpu (Task_yield { pid = task.pid; runtime = task.sum_exec; cpu; sched }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and runtime = task.sum_exec in
+  let sched = mint t ~pid ~cpu and name = "task_yield" in
+  let saved = call_begin t ~cpu name in
+  (try S.task_yield st ~pid ~runtime ~cpu ~sched
+   with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_yield { pid; runtime; cpu; sched }) R_unit
+  | None -> ()
 
 let task_preempt t (task : Kernsim.Task.t) ~cpu =
-  let sched = mint t ~pid:task.pid ~cpu in
-  unit_reply
-    (dispatch t ~cpu (Task_preempt { pid = task.pid; runtime = task.sum_exec; cpu; sched }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and runtime = task.sum_exec in
+  let sched = mint t ~pid ~cpu and name = "task_preempt" in
+  let saved = call_begin t ~cpu name in
+  (try S.task_preempt st ~pid ~runtime ~cpu ~sched
+   with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_preempt { pid; runtime; cpu; sched }) R_unit
+  | None -> ()
 
 let task_dead t (task : Kernsim.Task.t) ~cpu =
-  invalidate t ~pid:task.pid;
-  forget_gen t task.pid;
-  unit_reply (dispatch t ~cpu (Task_dead { pid = task.pid }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and name = "task_dead" in
+  invalidate t ~pid;
+  forget_gen t pid;
+  let saved = call_begin t ~cpu name in
+  (try S.task_dead st ~pid with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with Some r -> tap t r ~cpu (Task_dead { pid }) R_unit | None -> ()
 
 let task_departed t (task : Kernsim.Task.t) ~cpu =
-  (match dispatch t ~cpu (Task_departed { pid = task.pid; cpu }) with
-  | R_sched_opt tok ->
-    (* the scheduler returns whatever token it held; consume it *)
-    Option.iter Schedulable.Private.consume tok
-  | r -> invalid_arg ("Enoki_c: bad task_departed reply " ^ Message.encode_reply r));
-  invalidate t ~pid:task.pid;
-  forget_gen t task.pid
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and name = "task_departed" in
+  let saved = call_begin t ~cpu name in
+  let tok = try S.task_departed st ~pid ~cpu with exn -> call_failed t ~cpu name saved exn in
+  call_end t ~cpu name saved;
+  (match t.record with
+  | Some r -> tap t r ~cpu (Task_departed { pid; cpu }) (R_sched_opt tok)
+  | None -> ());
+  (* the scheduler returns whatever token it held; consume it *)
+  Option.iter Schedulable.Private.consume tok;
+  invalidate t ~pid;
+  forget_gen t pid
 
-let task_tick t ~cpu ~queued = unit_reply (dispatch t ~cpu (Task_tick { cpu; queued }))
+let task_tick t ~cpu ~queued =
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let name = "task_tick" in
+  let saved = call_begin t ~cpu name in
+  (try S.task_tick st ~cpu ~queued with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with Some r -> tap t r ~cpu (Task_tick { cpu; queued }) R_unit | None -> ()
 
-(* Int-encoded Sched_class boundary: option/token replies stay on the
-   Message wire (record/replay compatibility), but what crosses into the
-   machine's per-schedule hot path is a plain pid or -1. *)
+(* A rejected pick: wrong core, stale or forged token.  Ownership goes
+   back to the module via pnt_err, the recoverable path the Schedulable
+   design exists for. *)
+let pnt_err t ~cpu token err =
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = Schedulable.pid token and sched = Some token and name = "pnt_err" in
+  count_violation t err;
+  emit t ~cpu (Trace.Event.Pnt_err { pid; err });
+  let saved = call_begin t ~cpu name in
+  (try S.pnt_err st ~cpu ~pid ~err ~sched with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  (match t.record with
+  | Some r -> tap t r ~cpu (Pnt_err { cpu; pid; err; sched }) R_unit
+  | None -> ());
+  -1
+
+(* Int-encoded Sched_class boundary: the module's option/token reply is
+   what the record tap sees, but what crosses into the machine's
+   per-schedule hot path is a plain pid or -1. *)
 let pick_next_task t ~cpu =
-  match dispatch t ~cpu (Pick_next_task { cpu; curr = None; curr_runtime = 0 }) with
-  | R_sched_opt None -> -1
-  | R_sched_opt (Some token) ->
-    let reject err =
-      (* wrong core, stale or forged token: hand ownership back via
-         pnt_err, the recoverable path the Schedulable design exists for *)
-      count_violation t err;
-      emit t ~cpu (Trace.Event.Pnt_err { pid = Schedulable.pid token; err });
-      unit_reply
-        (dispatch t ~cpu (Pnt_err { cpu; pid = Schedulable.pid token; err; sched = Some token }));
-      -1
-    in
+  let ops = ops_exn t in
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let name = "pick_next_task" in
+  let saved = call_begin t ~cpu name in
+  let picked =
+    try S.pick_next_task st ~cpu ~curr:None ~curr_runtime:0
+    with exn -> call_failed t ~cpu name saved exn
+  in
+  call_end t ~cpu name saved;
+  (match t.record with
+  | Some r ->
+    tap t r ~cpu (Pick_next_task { cpu; curr = None; curr_runtime = 0 }) (R_sched_opt picked)
+  | None -> ());
+  match picked with
+  | None -> -1
+  | Some token ->
     if token_valid t token ~cpu then begin
       let pid = Schedulable.pid token in
       (* the token checks out against our generation table; re-validate
          against the kernel's own task state before letting the pid reach
          the core scheduler, so a bogus reply can never crash the machine *)
-      match (ops_exn t).find_task pid with
+      match ops.find_task pid with
       | Some task when task.state = Kernsim.Task.Runnable && task.cpu = cpu ->
         Schedulable.Private.consume token;
         invalidate t ~pid;
         pid
-      | Some _ | None -> reject "not_runnable"
+      | Some _ | None -> pnt_err t ~cpu token "not_runnable"
     end
     else
-      reject
+      pnt_err t ~cpu token
         (if not (Schedulable.is_live token) then "consumed"
          else if Schedulable.cpu token <> cpu then "wrong_cpu"
          else "stale_generation")
-  | r -> invalid_arg ("Enoki_c: bad pick_next_task reply " ^ Message.encode_reply r)
 
 let balance t ~cpu =
-  match dispatch t ~cpu (Balance { cpu }) with
-  | R_pid_opt (Some p) -> p
-  | R_pid_opt None -> -1
-  | r -> invalid_arg ("Enoki_c: bad balance reply " ^ Message.encode_reply r)
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let name = "balance" in
+  let saved = call_begin t ~cpu name in
+  let pid = try S.balance st ~cpu with exn -> call_failed t ~cpu name saved exn in
+  call_end t ~cpu name saved;
+  (match t.record with Some r -> tap t r ~cpu (Balance { cpu }) (R_pid_opt pid) | None -> ());
+  match pid with Some p -> p | None -> -1
 
 let balance_err t (task : Kernsim.Task.t) ~cpu =
-  unit_reply (dispatch t ~cpu (Balance_err { cpu; pid = task.pid; sched = None }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and name = "balance_err" in
+  let saved = call_begin t ~cpu name in
+  (try S.balance_err st ~cpu ~pid ~sched:None with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with
+  | Some r -> tap t r ~cpu (Balance_err { cpu; pid; sched = None }) R_unit
+  | None -> ()
 
 let migrate_task_rq t (task : Kernsim.Task.t) ~from_cpu ~to_cpu =
-  let sched = mint t ~pid:task.pid ~cpu:to_cpu in
-  match dispatch t ~cpu:to_cpu (Migrate_task_rq { pid = task.pid; from_cpu; sched }) with
-  | R_sched_opt old ->
-    (* the scheduler returns the superseded token; consume whatever it gave *)
-    Option.iter Schedulable.Private.consume old
-  | r -> invalid_arg ("Enoki_c: bad migrate reply " ^ Message.encode_reply r)
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid in
+  let sched = mint t ~pid ~cpu:to_cpu and name = "migrate_task_rq" in
+  let saved = call_begin t ~cpu:to_cpu name in
+  let old =
+    try S.migrate_task_rq st ~pid ~sched with exn -> call_failed t ~cpu:to_cpu name saved exn
+  in
+  call_end t ~cpu:to_cpu name saved;
+  (match t.record with
+  | Some r -> tap t r ~cpu:to_cpu (Migrate_task_rq { pid; from_cpu; sched }) (R_sched_opt old)
+  | None -> ());
+  (* the scheduler returns the superseded token; consume whatever it gave *)
+  Option.iter Schedulable.Private.consume old
 
 let task_prio_changed t (task : Kernsim.Task.t) =
-  unit_reply
-    (dispatch t ~cpu:task.cpu (Task_prio_changed { pid = task.pid; prio = task.nice }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and prio = task.nice and cpu = task.cpu and name = "task_prio_changed" in
+  let saved = call_begin t ~cpu name in
+  (try S.task_prio_changed st ~pid ~prio with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_prio_changed { pid; prio }) R_unit
+  | None -> ()
 
 let task_affinity_changed t (task : Kernsim.Task.t) =
-  let allowed =
-    match task.affinity with
-    | Some cpus -> cpus
-    | None -> List.init (ops_exn t).nr_cpus Fun.id
-  in
-  unit_reply (dispatch t ~cpu:task.cpu (Task_affinity_changed { pid = task.pid; allowed }))
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let pid = task.pid and allowed = allowed_of t task and cpu = task.cpu in
+  let name = "task_affinity_changed" in
+  let saved = call_begin t ~cpu name in
+  (try S.task_affinity_changed st ~pid ~allowed
+   with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with
+  | Some r -> tap t r ~cpu (Task_affinity_changed { pid; allowed }) R_unit
+  | None -> ()
+
+let parse_hint t ~cpu ~pid hint =
+  let (Sched_trait.Packed ((module S), st)) = packed_exn t in
+  let name = "parse_hint" in
+  let saved = call_begin t ~cpu name in
+  (try S.parse_hint st ~pid ~hint with exn -> call_failed t ~cpu name saved exn);
+  call_end t ~cpu name saved;
+  match t.record with Some r -> tap t r ~cpu (Parse_hint { pid; hint }) R_unit | None -> ()
 
 (* User hints go through the shared ring, then Enoki-C synchronously drains
    it into parse_hint calls (the enter_queue protocol of §3.3). *)
 let deliver_hint t (task : Kernsim.Task.t) hint =
   if Ds.Ring_buffer.push t.hint_ring (task.pid, hint) then
     List.iter
-      (fun (pid, hint) -> unit_reply (dispatch t ~cpu:task.cpu (Parse_hint { pid; hint })))
+      (fun (pid, hint) -> parse_hint t ~cpu:task.cpu ~pid hint)
       (Ds.Ring_buffer.drain t.hint_ring)
 
 (* ---------- registration ---------- *)
@@ -469,17 +592,6 @@ let quarantine t ~cpu ?skip ~call exn =
     done;
     fb
 
-(* Every scheduler-class hook runs under this boundary: when quarantined,
-   route straight to the fallback; otherwise run the module and convert
-   anything it raises into quarantine + failover instead of letting it
-   unwind the core scheduler. *)
-let guarded t ~cpu ?skip ~call ~(active : unit -> 'a) ~(failed : Ops.t -> 'a) () =
-  match t.quarantined with
-  | Some _ -> failed (fallback_exn t)
-  | None ->
-    if not t.isolate then active ()
-    else ( try active () with exn -> failed (quarantine t ~cpu ?skip ~call exn))
-
 let rec arm_record_drain t (ops : Ops.kernel_ops) r =
   ops.defer ~delay:(Kernsim.Time.us 100) (fun () ->
       Record.drain r;
@@ -489,6 +601,7 @@ let factory t : Kernsim.Sched_class.factory =
  fun ops ->
   if t.ops <> None then invalid_arg "Enoki_c: scheduler already registered";
   t.ops <- Some ops;
+  t.all_cpus <- List.init ops.nr_cpus Fun.id;
   (* module load: construct the scheduler against the safe context *)
   Lock.reset_ids ();
   (match t.tracer with
@@ -509,69 +622,104 @@ let factory t : Kernsim.Sched_class.factory =
   let (module S : Sched_trait.S) = t.modul in
   let st = S.create (make_ctx t ops) in
   t.packed <- Some (Sched_trait.Packed ((module S), st));
+  (* Every hook runs under the isolation boundary: when quarantined, route
+     straight to the fallback; otherwise run the module and, with
+     [isolate], convert anything it raises into quarantine + failover
+     instead of letting it unwind the core scheduler.  [skip] is the task
+     the failed hook was about (see [quarantine]). *)
   {
     Kernsim.Sched_class.name = "enoki:" ^ S.name;
     select_task_rq =
       (fun task ~waker_cpu ->
-        guarded t ~cpu:waker_cpu ~skip:task.pid ~call:"select_task_rq"
-          ~active:(fun () -> select_task_rq t task ~waker_cpu)
-          ~failed:(fun fb -> fb.select_task_rq task ~waker_cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).select_task_rq task ~waker_cpu
+        | None -> (
+          try select_task_rq t task ~waker_cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu:waker_cpu ~skip:task.pid ~call:"select_task_rq" exn in
+            fb.select_task_rq task ~waker_cpu));
     task_new =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_new"
-          ~active:(fun () -> task_new t task ~cpu)
-          ~failed:(fun fb -> fb.task_new task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_new task ~cpu
+        | None -> (
+          try task_new t task ~cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_new" exn in
+            fb.task_new task ~cpu));
     task_wakeup =
       (fun task ~cpu ~waker_cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_wakeup"
-          ~active:(fun () -> task_wakeup t task ~cpu ~waker_cpu)
-          ~failed:(fun fb -> fb.task_wakeup task ~cpu ~waker_cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_wakeup task ~cpu ~waker_cpu
+        | None -> (
+          try task_wakeup t task ~cpu ~waker_cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_wakeup" exn in
+            fb.task_wakeup task ~cpu ~waker_cpu));
     task_blocked =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_blocked"
-          ~active:(fun () -> task_blocked t task ~cpu)
-          ~failed:(fun fb -> fb.task_blocked task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_blocked task ~cpu
+        | None -> (
+          try task_blocked t task ~cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_blocked" exn in
+            fb.task_blocked task ~cpu));
     task_yield =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_yield"
-          ~active:(fun () -> task_yield t task ~cpu)
-          ~failed:(fun fb -> fb.task_yield task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_yield task ~cpu
+        | None -> (
+          try task_yield t task ~cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_yield" exn in
+            fb.task_yield task ~cpu));
     task_preempt =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_preempt"
-          ~active:(fun () -> task_preempt t task ~cpu)
-          ~failed:(fun fb -> fb.task_preempt task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_preempt task ~cpu
+        | None -> (
+          try task_preempt t task ~cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_preempt" exn in
+            fb.task_preempt task ~cpu));
     task_dead =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_dead"
-          ~active:(fun () -> task_dead t task ~cpu)
-          ~failed:(fun fb -> fb.task_dead task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_dead task ~cpu
+        | None -> (
+          try task_dead t task ~cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_dead" exn in
+            fb.task_dead task ~cpu));
     task_departed =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"task_departed"
-          ~active:(fun () -> task_departed t task ~cpu)
-          ~failed:(fun fb -> fb.task_departed task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_departed task ~cpu
+        | None -> (
+          try task_departed t task ~cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"task_departed" exn in
+            fb.task_departed task ~cpu));
     task_tick =
       (fun ~cpu ~queued ->
-        guarded t ~cpu ~call:"task_tick"
-          ~active:(fun () -> task_tick t ~cpu ~queued)
-          ~failed:(fun fb -> fb.task_tick ~cpu ~queued)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_tick ~cpu ~queued
+        | None -> (
+          try task_tick t ~cpu ~queued
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~call:"task_tick" exn in
+            fb.task_tick ~cpu ~queued));
     pick_next_task =
       (fun ~cpu ->
         let picked =
-          guarded t ~cpu ~call:"pick_next_task"
-            ~active:(fun () -> pick_next_task t ~cpu)
-            ~failed:(fun fb -> fb.pick_next_task ~cpu)
-            ()
+          match t.quarantined with
+          | Some _ -> (fallback_exn t).pick_next_task ~cpu
+          | None -> (
+            try pick_next_task t ~cpu
+            with exn when t.isolate ->
+              let fb = quarantine t ~cpu ~call:"pick_next_task" exn in
+              fb.pick_next_task ~cpu)
         in
         (if picked >= 0 then
            match (t.quarantined, t.blackout) with
@@ -582,40 +730,58 @@ let factory t : Kernsim.Sched_class.factory =
         picked);
     balance =
       (fun ~cpu ->
-        guarded t ~cpu ~call:"balance"
-          ~active:(fun () -> balance t ~cpu)
-          ~failed:(fun fb -> fb.balance ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).balance ~cpu
+        | None -> (
+          try balance t ~cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~call:"balance" exn in
+            fb.balance ~cpu));
     balance_err =
       (fun task ~cpu ->
-        guarded t ~cpu ~skip:task.pid ~call:"balance_err"
-          ~active:(fun () -> balance_err t task ~cpu)
-          ~failed:(fun fb -> fb.balance_err task ~cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).balance_err task ~cpu
+        | None -> (
+          try balance_err t task ~cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu ~skip:task.pid ~call:"balance_err" exn in
+            fb.balance_err task ~cpu));
     migrate_task_rq =
       (fun task ~from_cpu ~to_cpu ->
-        guarded t ~cpu:to_cpu ~skip:task.pid ~call:"migrate_task_rq"
-          ~active:(fun () -> migrate_task_rq t task ~from_cpu ~to_cpu)
-          ~failed:(fun fb -> fb.migrate_task_rq task ~from_cpu ~to_cpu)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).migrate_task_rq task ~from_cpu ~to_cpu
+        | None -> (
+          try migrate_task_rq t task ~from_cpu ~to_cpu
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu:to_cpu ~skip:task.pid ~call:"migrate_task_rq" exn in
+            fb.migrate_task_rq task ~from_cpu ~to_cpu));
     task_prio_changed =
       (fun task ->
-        guarded t ~cpu:task.cpu ~skip:task.pid ~call:"task_prio_changed"
-          ~active:(fun () -> task_prio_changed t task)
-          ~failed:(fun fb -> fb.task_prio_changed task)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_prio_changed task
+        | None -> (
+          try task_prio_changed t task
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"task_prio_changed" exn in
+            fb.task_prio_changed task));
     task_affinity_changed =
       (fun task ->
-        guarded t ~cpu:task.cpu ~skip:task.pid ~call:"task_affinity_changed"
-          ~active:(fun () -> task_affinity_changed t task)
-          ~failed:(fun fb -> fb.task_affinity_changed task)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).task_affinity_changed task
+        | None -> (
+          try task_affinity_changed t task
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"task_affinity_changed" exn in
+            fb.task_affinity_changed task));
     deliver_hint =
       (fun task hint ->
-        guarded t ~cpu:task.cpu ~skip:task.pid ~call:"parse_hint"
-          ~active:(fun () -> deliver_hint t task hint)
-          ~failed:(fun fb -> fb.deliver_hint task hint)
-          ());
+        match t.quarantined with
+        | Some _ -> (fallback_exn t).deliver_hint task hint
+        | None -> (
+          try deliver_hint t task hint
+          with exn when t.isolate ->
+            let fb = quarantine t ~cpu:task.cpu ~skip:task.pid ~call:"parse_hint" exn in
+            fb.deliver_hint task hint));
   }
 
 (* ---------- live upgrade (§3.2) ---------- *)

@@ -1,10 +1,9 @@
 (** The libEnoki processing function.
 
-    When a scheduler module registers, libEnoki registers this processing
-    function with Enoki-C; it parses each per-function message, calls the
-    corresponding scheduler function, and writes the return value back into
-    a reply (§3.1).  Replay drives the very same function, which is what
-    guarantees the identical scheduler code runs in the kernel and at
-    userspace. *)
+    Parses one per-function message, calls the corresponding scheduler
+    function, and writes the return value back into a reply (§3.1).
+    Replay drives recorded messages through it.  Live runs skip the
+    message and make the same trait call directly ({!Enoki_c}), so the
+    identical scheduler code runs in the kernel and at userspace. *)
 
 val process : Sched_trait.packed -> Message.call -> Message.reply

@@ -1,12 +1,12 @@
 (** Messages across the Enoki-C / libEnoki boundary.
 
-    Enoki-C translates every call from the core scheduler code into a
-    per-function message (§3): plain data plus Schedulable capabilities —
-    never kernel pointers.  The processing function in libEnoki
-    ({!Lib_enoki}) parses each message and invokes the scheduler.  The
-    record subsystem serialises the same messages, one per line, so replay
-    can feed the identical call stream to the identical scheduler code at
-    userspace. *)
+    Each call from the core scheduler code has a per-function message
+    (§3): plain data plus Schedulable capabilities — never kernel pointers.
+    Live, Enoki-C calls the scheduler directly with exactly these fields
+    and builds the message only for the record tap; the record subsystem
+    serialises it, and replay decodes it and hands it to the processing
+    function ({!Lib_enoki}), so the identical call stream reaches the
+    identical scheduler code at userspace. *)
 
 type ns = Kernsim.Time.ns
 

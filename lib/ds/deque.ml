@@ -68,47 +68,56 @@ let to_list t =
   in
   go (t.len - 1) []
 
-let iter f t = List.iter f (to_list t)
+let iter f t =
+  for i = 0 to t.len - 1 do
+    match t.buf.(index t i) with Some x -> f x | None -> ()
+  done
 
-let exists f t = List.exists f (to_list t)
+(* Logical position of the first element from [i] on satisfying [f], or
+   -1.  Top-level, so scanning allocates no closure. *)
+let rec find_from t f i =
+  if i >= t.len then -1
+  else match t.buf.(index t i) with Some x when f x -> i | Some _ | None -> find_from t f (i + 1)
+
+let exists f t = find_from t f 0 >= 0
+
+(* Close the gap at logical position [i] inside the ring, moving whichever
+   side of it is shorter: the front part one slot back (and the head with
+   it), or the back part one slot forward.  No list and no re-push; the
+   vacated slot is cleared so the GC can reclaim what it held. *)
+let delete_at t i =
+  if i < t.len / 2 then begin
+    for j = i downto 1 do
+      t.buf.(index t j) <- t.buf.(index t (j - 1))
+    done;
+    t.buf.(t.head) <- None;
+    t.head <- index t 1
+  end
+  else begin
+    for j = i to t.len - 2 do
+      t.buf.(index t j) <- t.buf.(index t (j + 1))
+    done;
+    t.buf.(index t (t.len - 1)) <- None
+  end;
+  t.len <- t.len - 1
 
 let remove t ~eq x =
-  let items = to_list t in
-  if List.exists (eq x) items then begin
-    (* rebuild without the first matching element *)
-    let removed = ref false in
-    let kept =
-      List.filter
-        (fun y ->
-          if (not !removed) && eq x y then begin
-            removed := true;
-            false
-          end
-          else true)
-        items
-    in
-    Array.fill t.buf 0 (Array.length t.buf) None;
-    t.head <- 0;
-    t.len <- 0;
-    List.iter (push_back t) kept;
+  let i = find_from t (eq x) 0 in
+  if i < 0 then false
+  else begin
+    delete_at t i;
     true
   end
-  else false
 
 let remove_first t ~f =
-  let items = to_list t in
-  let rec split acc = function
-    | [] -> None
-    | x :: rest -> if f x then Some (x, List.rev_append acc rest) else split (x :: acc) rest
-  in
-  match split [] items with
-  | None -> None
-  | Some (x, kept) ->
-    Array.fill t.buf 0 (Array.length t.buf) None;
-    t.head <- 0;
-    t.len <- 0;
-    List.iter (push_back t) kept;
-    Some x
+  let i = find_from t f 0 in
+  if i < 0 then None
+  else begin
+    (* the slot's own [Some]: returning it allocates nothing *)
+    let found = t.buf.(index t i) in
+    delete_at t i;
+    found
+  end
 
 let clear t =
   Array.fill t.buf 0 (Array.length t.buf) None;

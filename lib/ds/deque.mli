@@ -25,10 +25,12 @@ val peek_front : 'a t -> 'a option
 val peek_back : 'a t -> 'a option
 
 (** Remove the first (oldest) element equal to [x] under [eq]; returns
-    whether something was removed. O(n). *)
+    whether something was removed.  O(n): a scan, then the gap closes in
+    place inside the ring, moving the shorter side. *)
 val remove : 'a t -> eq:('a -> 'a -> bool) -> 'a -> bool
 
-(** Remove and return the first (oldest) element satisfying [f]. O(n). *)
+(** Remove and return the first (oldest) element satisfying [f].  O(n),
+    in place like {!remove}; allocates nothing. *)
 val remove_first : 'a t -> f:('a -> bool) -> 'a option
 
 (** Front-to-back order. *)

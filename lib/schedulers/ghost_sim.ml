@@ -7,7 +7,9 @@ type t = {
   ops : Kernsim.Sched_class.kernel_ops;
   policy : policy;
   queues : int Ds.Deque.t array; (* per-cpu for Fifo_per_cpu; index 0 global otherwise *)
-  running : int option array;
+  running : int array; (* pid our pick put on each cpu, -1 for none *)
+  agent : int; (* the global agent's dedicated core, -1 for per-CPU agents *)
+  workers : int list; (* cpus the policy schedules user tasks on *)
   ready : bool array; (* a decision is available for this cpu *)
   pending : bool array; (* a request is with the agent *)
   tasks : (int, Kernsim.Task.t) Hashtbl.t;
@@ -20,14 +22,6 @@ let is_global t = t.policy <> Fifo_per_cpu
 
 let queue_for t cpu = if is_global t then t.queues.(0) else t.queues.(cpu)
 
-let agent t = agent_cpu t.policy ~nr_cpus:t.ops.nr_cpus
-
-(* cpus the policy schedules user tasks on (the global agent's core is
-   dedicated to the agent) *)
-let worker_cpus t =
-  let excluded = agent t in
-  List.filter (fun c -> Some c <> excluded) (List.init t.ops.nr_cpus Fun.id)
-
 let agent_latency t =
   match t.policy with
   | Fifo_per_cpu -> t.ops.costs.ghost_agent_local
@@ -37,9 +31,18 @@ let agent_latency t =
    agent additionally processes messages one at a time, so bursts queue *)
 let msg_cost t ~cpu = t.ops.charge ~cpu t.ops.costs.ghost_msg
 
+(* the first idle cpu of a list, -1 for none *)
+let rec first_idle t = function
+  | [] -> -1
+  | c :: rest -> if t.ops.cpu_is_idle c then c else first_idle t rest
+
 let select_task_rq t (task : Kernsim.Task.t) ~waker_cpu =
   msg_cost t ~cpu:waker_cpu;
-  let candidates = List.filter (Kernsim.Task.allowed_cpu task) (worker_cpus t) in
+  let candidates =
+    match task.affinity with
+    | None -> t.workers
+    | Some _ -> List.filter (Kernsim.Task.allowed_cpu task) t.workers
+  in
   match candidates with
   | [] -> waker_cpu
   | cands -> (
@@ -47,27 +50,30 @@ let select_task_rq t (task : Kernsim.Task.t) ~waker_cpu =
     | Fifo_per_cpu -> (
       (* per-CPU model: tasks belong to one cpu's queue; wakeups return
          there no matter what is running (no work stealing, no preemption) *)
-      match Hashtbl.find_opt t.assigned task.pid with
-      | Some c when List.mem c cands -> c
-      | Some _ | None ->
+      match Hashtbl.find t.assigned task.pid with
+      | c when List.mem c cands -> c
+      | _ | (exception Not_found) ->
         t.rr <- t.rr + 1;
         let c = List.nth cands (t.rr mod List.length cands) in
         Hashtbl.replace t.assigned task.pid c;
         c)
     | Sol | Gshinjuku -> (
       (* prefer an idle worker core, else round-robin *)
-      match List.find_opt (fun c -> t.ops.cpu_is_idle c) cands with
-      | Some c -> c
-      | None ->
+      match first_idle t cands with
+      | -1 ->
         t.rr <- t.rr + 1;
-        List.nth cands (t.rr mod List.length cands)))
+        List.nth cands (t.rr mod List.length cands)
+      | c -> c))
 
 let enqueue t (task : Kernsim.Task.t) ~cpu =
   Ds.Deque.push_back (queue_for t cpu) task.pid;
   Hashtbl.replace t.tasks task.pid task
 
 let remove_pid t pid =
-  Array.iter (fun q -> ignore (Ds.Deque.remove_first q ~f:(fun p -> p = pid))) t.queues
+  let f p = p = pid in
+  for q = 0 to Array.length t.queues - 1 do
+    ignore (Ds.Deque.remove_first t.queues.(q) ~f)
+  done
 
 let task_new t (task : Kernsim.Task.t) ~cpu =
   enqueue t task ~cpu;
@@ -90,7 +96,7 @@ let kick_agent t ~cpu =
         latency
       | Sol | Gshinjuku ->
         (* the global agent burns its dedicated core, serially *)
-        (match agent t with Some a -> t.ops.charge ~cpu:a latency | None -> ());
+        if t.agent >= 0 then t.ops.charge ~cpu:t.agent latency;
         let now = t.ops.now () in
         let start = max now t.agent_free_at in
         t.agent_free_at <- start + latency;
@@ -107,22 +113,22 @@ let task_wakeup t (task : Kernsim.Task.t) ~cpu ~waker_cpu =
   enqueue t task ~cpu;
   (* a per-CPU agent picks the wakeup message off its own core's queue
      right away, overlapping the decision with the wakeup IPI *)
-  if t.policy = Fifo_per_cpu && t.running.(cpu) = None then kick_agent t ~cpu
+  if t.policy = Fifo_per_cpu && t.running.(cpu) < 0 then kick_agent t ~cpu
 
 let task_blocked t (task : Kernsim.Task.t) ~cpu =
   msg_cost t ~cpu;
-  if t.running.(cpu) = Some task.pid then t.running.(cpu) <- None;
+  if t.running.(cpu) = task.pid then t.running.(cpu) <- -1;
   remove_pid t task.pid
 
 let requeue t (task : Kernsim.Task.t) ~cpu =
   msg_cost t ~cpu;
-  if t.running.(cpu) = Some task.pid then t.running.(cpu) <- None;
+  if t.running.(cpu) = task.pid then t.running.(cpu) <- -1;
   remove_pid t task.pid;
   enqueue t task ~cpu
 
 let task_dead t (task : Kernsim.Task.t) ~cpu =
   msg_cost t ~cpu;
-  Array.iteri (fun c r -> if r = Some task.pid then t.running.(c) <- None) t.running;
+  Array.iteri (fun c r -> if r = task.pid then t.running.(c) <- -1) t.running;
   remove_pid t task.pid;
   Hashtbl.remove t.tasks task.pid
 
@@ -132,24 +138,22 @@ let task_dead t (task : Kernsim.Task.t) ~cpu =
    picks pay a commit cost rather than a blocking round trip. *)
 (* -1 = no task (the int-encoded Sched_class convention) *)
 let pick_next_task t ~cpu =
-  if Some cpu = agent t then -1
+  if cpu = t.agent then -1
   else if t.policy = Gshinjuku || t.ready.(cpu) then begin
     if t.policy = Gshinjuku then begin
       (* commit the agent's transaction: cost on this core, plus the agent
          core burns continuously while transactions flow *)
       t.ops.charge ~cpu (2 * t.ops.costs.ghost_msg);
-      match agent t with
-      | Some a -> t.ops.charge ~cpu:a t.ops.costs.ghost_agent_remote
-      | None -> ()
+      if t.agent >= 0 then t.ops.charge ~cpu:t.agent t.ops.costs.ghost_agent_remote
     end;
     t.ready.(cpu) <- false;
     match Ds.Deque.remove_first (queue_for t cpu) ~f:(fun pid ->
-              match Hashtbl.find_opt t.tasks pid with
-              | Some task -> task.cpu = cpu && task.state = Kernsim.Task.Runnable
-              | None -> false)
+              match Hashtbl.find t.tasks pid with
+              | task -> task.cpu = cpu && task.state = Kernsim.Task.Runnable
+              | exception Not_found -> false)
     with
     | Some pid ->
-      t.running.(cpu) <- Some pid;
+      t.running.(cpu) <- pid;
       (match t.policy with
       | Gshinjuku -> t.ops.set_timer ~cpu Shinjuku.default_slice
       | Fifo_per_cpu | Sol -> ());
@@ -164,7 +168,7 @@ let pick_next_task t ~cpu =
 (* pull the global queue head onto this run-queue (the agent's placement
    decision being applied by the kernel); -1 = nothing to pull *)
 let balance t ~cpu =
-  if Some cpu = agent t then -1
+  if cpu = t.agent then -1
   else if t.policy <> Gshinjuku && not t.ready.(cpu) then -1
   else if is_global t then
     match Ds.Deque.peek_front t.queues.(0) with
@@ -173,7 +177,7 @@ let balance t ~cpu =
       | Some task
         when task.cpu <> cpu && task.state = Kernsim.Task.Runnable
              && Kernsim.Task.allowed_cpu task cpu
-             && t.running.(task.cpu) <> None ->
+             && t.running.(task.cpu) >= 0 ->
         pid
       | Some _ | None -> -1)
     | None -> -1
@@ -189,12 +193,16 @@ let task_tick t ~cpu ~queued =
 let factory policy : Kernsim.Sched_class.factory =
  fun ops ->
   let nq = match policy with Fifo_per_cpu -> ops.nr_cpus | Sol | Gshinjuku -> 1 in
+  let agent = Option.value ~default:(-1) (agent_cpu policy ~nr_cpus:ops.nr_cpus) in
   let t =
     {
       ops;
       policy;
       queues = Array.init nq (fun _ -> Ds.Deque.create ());
-      running = Array.make ops.nr_cpus None;
+      running = Array.make ops.nr_cpus (-1);
+      agent;
+      (* the global agent's core is dedicated to the agent *)
+      workers = List.filter (fun c -> c <> agent) (List.init ops.nr_cpus Fun.id);
       ready = Array.make ops.nr_cpus false;
       pending = Array.make ops.nr_cpus false;
       tasks = Hashtbl.create 64;

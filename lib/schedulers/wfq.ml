@@ -28,7 +28,7 @@ type ent = {
 type rq = {
   mutable tree : Sched.t Tree.t;
   mutable min_vruntime : int;
-  mutable running : int option;
+  mutable running : int; (* pid of our last pick on this cpu, -1 for none *)
   mutable ticks_since_dispatch : int;
 }
 
@@ -38,7 +38,7 @@ let name = "wfq"
 
 let make_rqs n =
   Array.init n (fun _ ->
-      { tree = Tree.empty; min_vruntime = 0; running = None; ticks_since_dispatch = 0 })
+      { tree = Tree.empty; min_vruntime = 0; running = -1; ticks_since_dispatch = 0 })
 
 let create (ctx : Enoki.Ctx.t) =
   {
@@ -96,7 +96,7 @@ let remove_from t e =
 
 let nr_queued rq = Tree.cardinal rq.tree
 
-let nr_running rq = nr_queued rq + if rq.running = None then 0 else 1
+let nr_running rq = nr_queued rq + if rq.running < 0 then 0 else 1
 
 (* ---------- trait implementation ---------- *)
 
@@ -127,7 +127,7 @@ let task_blocked t ~pid ~runtime ~cpu =
         ignore (remove_from t e);
         advance_vruntime e ~runtime;
         let rq = t.rqs.(cpu) in
-        if rq.running = Some pid then rq.running <- None;
+        if rq.running = pid then rq.running <- -1;
         update_min rq)
 
 let requeue t ~pid ~runtime ~cpu ~sched =
@@ -136,7 +136,7 @@ let requeue t ~pid ~runtime ~cpu ~sched =
       ignore (remove_from t e);
       advance_vruntime e ~runtime;
       let rq = t.rqs.(cpu) in
-      if rq.running = Some pid then rq.running <- None;
+      if rq.running = pid then rq.running <- -1;
       insert t ~cpu e sched;
       update_min rq)
 
@@ -150,7 +150,7 @@ let task_dead t ~pid =
       | Some e ->
         ignore (remove_from t e);
         let rq = t.rqs.(e.cpu) in
-        if rq.running = Some pid then rq.running <- None
+        if rq.running = pid then rq.running <- -1
       | None -> ());
       Hashtbl.remove t.ents pid)
 
@@ -160,7 +160,7 @@ let task_departed t ~pid ~cpu =
         match Hashtbl.find_opt t.ents pid with Some e -> remove_from t e | None -> None
       in
       let rq = t.rqs.(cpu) in
-      if rq.running = Some pid then rq.running <- None;
+      if rq.running = pid then rq.running <- -1;
       Hashtbl.remove t.ents pid;
       token)
 
@@ -170,12 +170,12 @@ let pick_next_task t ~cpu ~curr ~curr_runtime:_ =
       match Tree.min_binding_opt rq.tree with
       | Some ((v, pid), sched) ->
         rq.tree <- Tree.remove (v, pid) rq.tree;
-        rq.running <- Some pid;
+        rq.running <- pid;
         rq.ticks_since_dispatch <- 0;
         if rq.min_vruntime < v then rq.min_vruntime <- v;
         Some sched
       | None ->
-        rq.running <- Option.map Sched.pid curr;
+        rq.running <- (match curr with Some c -> Sched.pid c | None -> -1);
         curr)
 
 let pnt_err t ~cpu ~pid ~err:_ ~sched =
@@ -219,7 +219,7 @@ let migrate_task_rq t ~pid ~sched =
       | Some e ->
         let old = remove_from t e in
         let from_rq = t.rqs.(e.cpu) and to_rq = t.rqs.(Sched.cpu sched) in
-        if from_rq.running = Some pid then from_rq.running <- None;
+        if from_rq.running = pid then from_rq.running <- -1;
         e.vruntime <- e.vruntime - from_rq.min_vruntime + to_rq.min_vruntime;
         insert t ~cpu:(Sched.cpu sched) e sched;
         old)
@@ -228,14 +228,14 @@ let migrate_task_rq t ~pid ~sched =
 let balance t ~cpu =
   Enoki.Lock.with_lock t.lock (fun () ->
       let rq = t.rqs.(cpu) in
-      if nr_queued rq > 0 || rq.running <> None then None
+      if nr_queued rq > 0 || rq.running >= 0 then None
       else begin
         let longest = ref None in
         Array.iteri
           (fun other o ->
             if other <> cpu then
               (* only steal from a core that cannot drain itself promptly *)
-              let n = if o.running <> None then nr_queued o else if nr_queued o >= 2 then nr_queued o else 0 in
+              let n = if o.running >= 0 then nr_queued o else if nr_queued o >= 2 then nr_queued o else 0 in
               match !longest with
               | Some (_, ln) when ln >= n -> ()
               | _ -> if n > 0 then longest := Some (other, n))
@@ -259,8 +259,8 @@ let task_tick t ~cpu ~queued =
       let rq = t.rqs.(cpu) in
       if queued then begin
         rq.ticks_since_dispatch <- rq.ticks_since_dispatch + 1;
-        match rq.running with
-        | Some pid when nr_queued rq > 0 -> (
+        let pid = rq.running in
+        if pid >= 0 && nr_queued rq > 0 then (
           match Hashtbl.find_opt t.ents pid with
           | Some e ->
             let ran = rq.ticks_since_dispatch * Kernsim.Time.ms 1 in
@@ -273,7 +273,6 @@ let task_tick t ~cpu ~queued =
             in
             if slice_exceeded || waiting_shorter then t.ctx.resched ~cpu
           | None -> ())
-        | Some _ | None -> ()
       end)
 
 let task_affinity_changed _ ~pid:_ ~allowed:_ = ()

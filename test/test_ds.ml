@@ -476,6 +476,93 @@ let prop_deque_stack l =
   in
   drain [] = List.rev l
 
+(* Random push/pop/remove sequences against a front-to-back list model.
+   Values are small so removals hit often; up to 300 operations on a ring
+   that starts at 8 slots cover wrap-around at both ends and growth, and
+   removals land at every position, so both directions of the in-place
+   shift run. *)
+type deque_op =
+  | Push_back of int
+  | Push_front of int
+  | Pop_front
+  | Pop_back
+  | Remove_first of int (* first element >= k *)
+  | Remove of int (* first element = k *)
+
+let deque_ops_arbitrary =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Push_back k) (int_bound 9));
+        (3, map (fun k -> Push_front k) (int_bound 9));
+        (1, return Pop_front);
+        (1, return Pop_back);
+        (2, map (fun k -> Remove_first k) (int_bound 9));
+        (2, map (fun k -> Remove k) (int_bound 9));
+      ]
+  in
+  QCheck.make (list_size (int_bound 300) op) ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | Push_back k -> Printf.sprintf "pb%d" k
+             | Push_front k -> Printf.sprintf "pf%d" k
+             | Pop_front -> "of"
+             | Pop_back -> "ob"
+             | Remove_first k -> Printf.sprintf "rf%d" k
+             | Remove k -> Printf.sprintf "r%d" k)
+           ops))
+
+(* the model's "remove the first element satisfying [f]" *)
+let rec model_remove f = function
+  | [] -> (None, [])
+  | x :: rest when f x -> (Some x, rest)
+  | x :: rest ->
+    let found, rest = model_remove f rest in
+    (found, x :: rest)
+
+let prop_deque_model ops =
+  let d = Ds.Deque.create () in
+  let last m = List.nth_opt (List.rev m) 0 in
+  (* apply [op] to both; each returns what the deque's call returned and
+     what the model says it should have *)
+  let step m op =
+    match op with
+    | Push_back k ->
+      Ds.Deque.push_back d k;
+      (None, None, m @ [ k ])
+    | Push_front k ->
+      Ds.Deque.push_front d k;
+      (None, None, k :: m)
+    | Pop_front -> (Ds.Deque.pop_front d, List.nth_opt m 0, match m with [] -> [] | _ :: r -> r)
+    | Pop_back ->
+      (Ds.Deque.pop_back d, last m, match List.rev m with [] -> [] | _ :: r -> List.rev r)
+    | Remove_first k ->
+      let want, m = model_remove (fun x -> x >= k) m in
+      (Ds.Deque.remove_first d ~f:(fun x -> x >= k), want, m)
+    | Remove k ->
+      let want, m = model_remove (Int.equal k) m in
+      ((if Ds.Deque.remove d ~eq:Int.equal k then want else None), want, m)
+  in
+  let agrees m =
+    let seen = ref [] in
+    Ds.Deque.iter (fun x -> seen := x :: !seen) d;
+    Ds.Deque.to_list d = m
+    && List.rev !seen = m
+    && Ds.Deque.length d = List.length m
+    && Ds.Deque.peek_front d = List.nth_opt m 0
+    && Ds.Deque.peek_back d = last m
+    && List.for_all (fun k -> Ds.Deque.exists (Int.equal k) d = List.mem k m) [ 0; 5; 9 ]
+  in
+  let rec go m = function
+    | [] -> true
+    | op :: rest ->
+      let got, want, m = step m op in
+      got = want && agrees m && go m rest
+  in
+  go [] ops
+
 (* ---------- Stats: Prng ---------- *)
 
 let test_prng_deterministic () =
@@ -729,6 +816,8 @@ let () =
           Alcotest.test_case "mixed ends" `Quick test_deque_mixed_ends;
           qtest "fifo" QCheck.(list small_int) prop_deque_queue;
           qtest "lifo" QCheck.(list small_int) prop_deque_stack;
+          qtest "models a list (wrap, growth, in-place removal)" deque_ops_arbitrary
+            prop_deque_model;
         ] );
       ( "prng",
         [

@@ -214,6 +214,84 @@ let test_pipe_zero_alloc () =
     true
     (per_event < 8.0)
 
+(* A policy whose only allocation is the [Some token] it returns from
+   [pick_next_task]: pids queue in allocation-free int rings and tokens sit
+   in a pid-indexed array, so whatever else a run allocates belongs to the
+   machine or to the Enoki-C crossing itself. *)
+module Lean_fifo = struct
+  module Sched = Enoki.Schedulable
+
+  type t = { ctx : Enoki.Ctx.t; queues : Ds.Int_deque.t array; toks : Sched.t array }
+
+  include Enoki.Sched_trait.Defaults (struct
+    type nonrec t = t
+  end)
+
+  let name = "lean-fifo"
+
+  (* placeholder for pids holding no token; never handed out *)
+  let no_token = Sched.Private.create ~pid:(-1) ~cpu:(-1) ~gen:0
+
+  let create (ctx : Enoki.Ctx.t) =
+    {
+      ctx;
+      queues = Array.init ctx.nr_cpus (fun _ -> Ds.Int_deque.create ());
+      toks = Array.make 64 no_token;
+    }
+
+  let get_policy t = t.ctx.policy
+
+  let enqueue t ~pid sched =
+    t.toks.(pid) <- sched;
+    Ds.Int_deque.push_back t.queues.(Sched.cpu sched) pid
+
+  let pick_next_task t ~cpu ~curr:_ ~curr_runtime:_ =
+    let pid = Ds.Int_deque.pop_front t.queues.(cpu) in
+    if pid < 0 then None else Some t.toks.(pid)
+
+  let task_new t ~pid ~runtime:_ ~prio:_ ~sched = enqueue t ~pid sched
+
+  let task_wakeup t ~pid ~runtime:_ ~waker_cpu:_ ~sched = enqueue t ~pid sched
+
+  let task_preempt t ~pid ~runtime:_ ~cpu:_ ~sched = enqueue t ~pid sched
+
+  let task_yield t ~pid ~runtime:_ ~cpu:_ ~sched = enqueue t ~pid sched
+
+  let task_blocked _ ~pid:_ ~runtime:_ ~cpu:_ = ()
+
+  let task_dead _ ~pid:_ = ()
+
+  let task_departed _ ~pid:_ ~cpu:_ = None
+
+  let select_task_rq _ ~pid:_ ~waker_cpu ~allowed =
+    match allowed with c :: _ -> c | [] -> waker_cpu
+
+  let migrate_task_rq _ ~pid:_ ~sched:_ = None
+
+  let reregister_init ctx _ = create ctx
+end
+
+(* Allocation proof for the Enoki-C crossing: over a pinned pipe segment
+   under [Lean_fifo], everything the run allocates — machine, crossing and
+   the policy's one [Some] per pick — is divided by the crossings.  One
+   Schedulable mint is 40 B and is made on roughly one crossing in three,
+   so a crossing that builds no message, reply or closure stays far below
+   the 64 B ceiling; building the Message pair, a boxed reply and the
+   guard closures on every crossing reads as ~300 B here. *)
+let test_crossing_alloc () =
+  let b = build (Workloads.Setup.Enoki_sched (module Lean_fifo)) in
+  let e = Option.get b.enoki in
+  let before = Gc.allocated_bytes () in
+  let r = Workloads.Pipe_bench.run b ~same_core:true ~messages:5_000 () in
+  let after = Gc.allocated_bytes () in
+  check Alcotest.bool "completed" true r.completed;
+  check Alcotest.int "no violations" 0 (Enoki.Enoki_c.violations e);
+  let crossings = Enoki.Enoki_c.calls e in
+  let per_crossing = (after -. before) /. float_of_int crossings in
+  Alcotest.check Alcotest.bool
+    (Printf.sprintf "bytes/crossing %.2f at most 64 (%d crossings)" per_crossing crossings)
+    true (per_crossing <= 64.0)
+
 let test_setup_labels () =
   check Alcotest.string "cfs" "cfs" (Workloads.Setup.label Workloads.Setup.Cfs);
   check Alcotest.string "ghost" "ghost-sol"
@@ -271,5 +349,6 @@ let () =
           Alcotest.test_case "labels" `Quick test_setup_labels;
           Alcotest.test_case "agent core" `Quick test_setup_agent_core;
           Alcotest.test_case "pipe hot path zero-alloc" `Quick test_pipe_zero_alloc;
+          Alcotest.test_case "enoki crossing alloc-free" `Quick test_crossing_alloc;
         ] );
     ]
